@@ -82,7 +82,8 @@ bench:
 	$(GO) run ./cmd/hsbench -fig all
 
 # bench-sched measures scheduler actions/sec (best-of-N sampling lives
-# in the test) and rewrites BENCH_sched_throughput.json; commit the
+# in the test) and Sim heap allocations per action, and rewrites
+# BENCH_sched_throughput.json; commit the
 # result when the scheduler intentionally changes speed. This target
 # is the ONLY way the committed artifact gets rewritten — a plain
 # `go test ./...` measures but never writes (SCHED_BENCH_OUT unset),
@@ -92,7 +93,7 @@ bench-sched:
 		$(GO) test -run 'TestSchedThroughputArtifact$$' -count=1 -v .
 
 # bench-sched-guard fails if a fresh measurement regresses >10%
-# against the committed artifact.
+# against the committed artifact, or allocates more per Sim action.
 bench-sched-guard:
 	./scripts/bench_sched.sh
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -47,21 +46,21 @@ func (k ActKind) String() string {
 // an event: it can be waited on by the host (Runtime.EventWait) or by
 // other streams (Stream.EnqueueEventWait).
 type Action struct {
-	id     uint64
 	kind   ActKind
 	stream *Stream
-	label  string
 
-	// Compute payload.
-	kernel   string
+	// Compute payload. args and ops point into argbuf and opbuf when
+	// they fit (enqueue copies the caller's slices), so the common
+	// tile action allocates no slices and the caller's slice literals
+	// stay on its stack. The action's id, label, transfer bytes and
+	// cost live in span (see below).
 	kernelID int64
 	kernelFn Kernel
 	args     []int64
-	cost     platform.Cost
+	argbuf   [3]int64
 	// Operands (compute: user-declared; transfers: the moved range).
-	ops []Operand
-	// Transfer payload.
-	bytes int64
+	ops   []Operand
+	opbuf [3]Operand
 
 	// Scheduling state. succs, lastSucc and slot are guarded by the
 	// owning stream's lock (for succs/lastSucc that is the lock of
@@ -69,64 +68,66 @@ type Action struct {
 	// the predecessor's stream lock). npend and state are atomic: a
 	// predecessor in another stream decrements npend without taking
 	// this stream's lock, and exactly one decrement-to-zero launches.
+	// succs starts on succbuf, so the usual one or two successors cost
+	// no allocation; append spills to the heap past it.
 	npend    atomic.Int64
 	succs    []*Action
+	succbuf  [2]*Action
 	lastSucc uint64 // id of the newest successor; O(1) dedup stamp
 	slot     int    // index in stream.inflight; O(1) swap retirement
 	state    atomic.Int32
+	fin      atomic.Bool
 
-	// deps records the causal in-edges for the flight recorder
-	// (why this action waited); written at enqueue by the enqueuing
-	// goroutine, read at finish (ordered by the launch handoff). Nil
-	// when causal tracing is off. depbuf backs the common few-edge
-	// case so recording deps usually allocates nothing; append spills
-	// to the heap past its capacity.
-	deps   []trace.Dep
-	depbuf [8]trace.Dep
+	// depbuf backs span.Deps, the causal in-edges the flight recorder
+	// keeps (why this action waited): written at enqueue by the
+	// enqueuing goroutine, published at finish (ordered by the launch
+	// handoff). span.Deps stays nil when causal tracing is off, and
+	// append spills to the heap past depbuf's capacity.
+	depbuf [4]trace.Dep
 	// span is the flight-recorder entry, embedded here so recording a
-	// completed action allocates nothing; finish fills it and stores
-	// its address in the ring.
+	// completed action allocates nothing, and it is also the only
+	// copy of the action's identity and lifecycle, whether or not
+	// tracing is on: ID, run, kind, stream, domain, Label, Bytes
+	// (transfers), the cost (Flops and the Cost* fields; see setCost),
+	// and the four phase timestamps on the runtime clock — Enqueue when
+	// the action entered its stream, Ready when its last dependence
+	// resolved (== Enqueue if none were pending), Launch and Finish the
+	// executed interval. With tracing on, finish adds the outcome and a
+	// card transfer's link names and stores the span's address in the
+	// ring.
 	span trace.Span
 
 	// ready is the earliest virtual start (Sim mode): the source
 	// thread's enqueue completion time.
 	ready time.Duration
 
-	// Lifecycle timestamps on the runtime clock, feeding the metrics
-	// layer: tEnqueue when the action entered its stream, tReady when
-	// its last dependence resolved (== tEnqueue if none were pending).
-	tEnqueue time.Duration
-	tReady   time.Duration
-
-	// Results. fin flips after err and the timestamps are in place;
-	// doneCh is allocated lazily by the first waiter, so the hot path
-	// (most actions are never waited on individually) allocates no
-	// channel at all — see Done for the fin/doneCh ordering dance.
-	fin      atomic.Bool
-	doneCh   atomic.Pointer[chan struct{}]
-	doneOnce sync.Once
-	err      error
-	start    time.Duration
-	end      time.Duration
+	// Results. fin (above) flips after err and the timestamps are in
+	// place; doneCh is allocated lazily by the first waiter, so the hot
+	// path (most actions are never waited on individually) allocates
+	// no channel at all — see Done for the fin/doneCh ordering dance.
+	// closed makes the close of doneCh happen exactly once.
+	doneCh atomic.Pointer[chan struct{}]
+	closed atomic.Bool
+	// started guards span.Launch so retries and re-routes never
+	// restamp it; replay marks a checkpoint replay (see below).
+	started bool
+	replay  bool
+	err     error
 
 	// Resilience bookkeeping (exec_real.go / resilience.go), written
 	// only by the executor goroutine running the action and read at
-	// finish on that same goroutine — no atomics needed. started
-	// guards a.start so retries and re-routes never restamp it. The
-	// reporting counters live behind the res pointer, allocated on the
-	// first resilience event: fault-free finishes (the overwhelmingly
-	// common case, and the only case Sim mode ever sees) then pay one
-	// nil check instead of copying four always-zero fields — measured
-	// at ~1.5pp of the <5% tracing budget on the tier-1 matmul.
-	started bool
-	res     *resNote
-
+	// finish on that same goroutine — no atomics needed. The reporting
+	// counters live behind the res pointer, allocated on the first
+	// resilience event: fault-free finishes (the overwhelmingly common
+	// case, and the only case Sim mode ever sees) then pay one nil
+	// check instead of copying four always-zero fields — measured at
+	// ~1.5pp of the <5% tracing budget on the tier-1 matmul.
+	//
 	// Replay mode (checkpoint.go): the dependence set is prescribed by
 	// a checkpoint instead of discovered from operands, so enqueue
-	// skips the operand scan and barrier bookkeeping, and replayWhy
-	// supplies the recorded edge kind for each extraDeps entry.
-	replay    bool
-	replayWhy []trace.DepKind
+	// skips the operand scan and barrier bookkeeping; the recorded
+	// edge kinds come in as enqueue's whys argument.
+	res *resNote
 }
 
 // resNote is an action's resilience report, allocated lazily on the
@@ -170,7 +171,7 @@ const (
 func (a *Action) completed() bool { return a.state.Load() == stateDone }
 
 // ID returns the action's runtime-unique id.
-func (a *Action) ID() uint64 { return a.id }
+func (a *Action) ID() uint64 { return a.span.ID }
 
 // Kind returns the action's kind.
 func (a *Action) Kind() ActKind { return a.kind }
@@ -189,7 +190,7 @@ var closedDone = func() chan struct{} {
 // Done returns a channel closed when the action completes. The channel
 // is allocated on first call — enqueueing an action no longer pays for
 // a channel nobody waits on. Publication races with finish: both sides
-// run the close under doneOnce, and the fin/doneCh access order (finish
+// close through closeDone, and the fin/doneCh access order (finish
 // stores fin then loads doneCh; Done publishes doneCh then loads fin)
 // guarantees at least one side closes a channel registered either way.
 func (a *Action) Done() <-chan struct{} {
@@ -204,9 +205,17 @@ func (a *Action) Done() <-chan struct{} {
 		return *a.doneCh.Load()
 	}
 	if a.fin.Load() {
-		a.doneOnce.Do(func() { close(ch) })
+		a.closeDone(ch)
 	}
 	return ch
+}
+
+// closeDone closes the registered done channel; whichever of Done and
+// finish gets here first closes it, the other does nothing.
+func (a *Action) closeDone(ch chan struct{}) {
+	if a.closed.CompareAndSwap(false, true) {
+		close(ch)
+	}
 }
 
 // Completed reports whether the action has finished.
@@ -224,11 +233,12 @@ func (a *Action) Wait() error {
 
 // Times returns the executed interval on the runtime clock; valid
 // after completion.
-func (a *Action) Times() (start, end time.Duration) { return a.start, a.end }
+func (a *Action) Times() (start, end time.Duration) { return a.span.Launch, a.span.Finish }
 
 // enqueue computes dependences under the FIFO-semantic rule and hands
 // ready actions to the executor. extraDeps carry cross-stream event
-// waits.
+// waits; whys, set only by checkpoint replay, names the recorded edge
+// kind of each (DepEvent where it is short).
 //
 // Dependence discovery queries the stream's operand-interval index
 // (depindex.go) instead of scanning the inflight window, and the only
@@ -236,7 +246,7 @@ func (a *Action) Times() (start, end time.Duration) { return a.start, a.end }
 // lock of each explicit cross-stream dependence — so enqueues on
 // different streams never contend. At most one stream lock is held at
 // any moment, which rules out lock-order deadlocks by construction.
-func (rt *Runtime) enqueue(a *Action, extraDeps []*Action) (*Action, error) {
+func (rt *Runtime) enqueue(a *Action, extraDeps []*Action, whys []trace.DepKind) (*Action, error) {
 	for _, o := range a.ops {
 		if !o.valid() {
 			return nil, ErrBadOperand
@@ -260,11 +270,18 @@ func (rt *Runtime) enqueue(a *Action, extraDeps []*Action) (*Action, error) {
 	for i, o := range a.ops {
 		if !o.Buf.retain() {
 			releaseOps(a.ops[:i+1])
-			return nil, fmt.Errorf("%w: %q", ErrBufferFreed, o.Buf.name)
+			return nil, errBufferFreed(o.Buf)
 		}
 	}
 	s := a.stream
-	a.id = rt.nextID.Add(1)
+	// The span's identity fields feed the timeline record as well as
+	// the flight recorder, so they are filled traced or not.
+	sp := &a.span
+	sp.ID = rt.nextID.Add(1)
+	sp.Run = rt.runID
+	sp.Kind = traceKind(a.kind)
+	sp.Stream = s.name
+	sp.Domain = s.domain.spec.Name
 	// Hold one pending token until the OnEnqueue hook has fired:
 	// without it a predecessor finishing on another goroutine could
 	// launch this action — and notify OnReady/OnLaunch — before its
@@ -279,10 +296,10 @@ func (rt *Runtime) enqueue(a *Action, extraDeps []*Action) (*Action, error) {
 		se.mu.Lock()
 		se.hostTime += rt.cfg.SourceOverhead
 		a.ready = se.hostTime
-		a.tEnqueue = se.hostTime
+		a.span.Enqueue = se.hostTime
 		se.mu.Unlock()
 	} else {
-		a.tEnqueue = rt.exec.now()
+		a.span.Enqueue = rt.exec.now()
 	}
 
 	// addDep links a behind predecessor b. Must run while holding b's
@@ -291,18 +308,21 @@ func (rt *Runtime) enqueue(a *Action, extraDeps []*Action) (*Action, error) {
 	nDeps := 0
 	capture := rt.flight != nil
 	addDep := func(b *Action, why trace.DepKind) {
-		if b == a || b.completed() || b.lastSucc == a.id {
+		if b == a || b.completed() || b.lastSucc == a.span.ID {
 			return
 		}
-		b.lastSucc = a.id
+		b.lastSucc = a.span.ID
+		if b.succs == nil {
+			b.succs = b.succbuf[:0]
+		}
 		b.succs = append(b.succs, a)
 		a.npend.Add(1)
 		nDeps++
 		if capture {
-			if a.deps == nil {
-				a.deps = a.depbuf[:0]
+			if a.span.Deps == nil {
+				a.span.Deps = a.depbuf[:0]
 			}
-			a.deps = append(a.deps, trace.Dep{ID: b.id, Why: why})
+			a.span.Deps = append(a.span.Deps, trace.Dep{ID: b.span.ID, Why: why})
 		}
 	}
 	fifoDep := func(b *Action) { addDep(b, trace.DepFIFO) }
@@ -325,7 +345,7 @@ func (rt *Runtime) enqueue(a *Action, extraDeps []*Action) (*Action, error) {
 			s.mu.Unlock()
 			s.met.shed.Inc()
 			releaseOps(a.ops)
-			return nil, fmt.Errorf("%w: %s at depth %d", ErrQueueFull, s.name, depth)
+			return nil, errQueueFull(s, depth)
 		}
 		// QueueBlock: wait for any inflight member to retire, then
 		// re-evaluate. The wait pumps the virtual clock in Sim mode,
@@ -340,7 +360,7 @@ func (rt *Runtime) enqueue(a *Action, extraDeps []*Action) (*Action, error) {
 			se.mu.Lock()
 			if a.ready < se.hostTime {
 				a.ready = se.hostTime
-				a.tEnqueue = se.hostTime
+				a.span.Enqueue = se.hostTime
 			}
 			se.mu.Unlock()
 		}
@@ -377,8 +397,8 @@ func (rt *Runtime) enqueue(a *Action, extraDeps []*Action) (*Action, error) {
 
 	for i, d := range extraDeps {
 		why := trace.DepEvent
-		if a.replayWhy != nil && i < len(a.replayWhy) {
-			why = a.replayWhy[i]
+		if i < len(whys) {
+			why = whys[i]
 		}
 		ds := d.stream
 		ds.mu.Lock()
@@ -401,11 +421,11 @@ func (rt *Runtime) enqueue(a *Action, extraDeps []*Action) (*Action, error) {
 		a.state.Store(stateLaunched)
 		switch {
 		case nDeps == 0:
-			a.tReady = a.tEnqueue
+			a.span.Ready = a.span.Enqueue
 		case rt.cfg.Mode == ModeSim:
-			a.tReady = a.ready
+			a.span.Ready = a.ready
 		default:
-			a.tReady = rt.exec.now()
+			a.span.Ready = rt.exec.now()
 		}
 		rt.notifyReadyLaunch(a)
 		rt.exec.launch(a)
@@ -455,6 +475,9 @@ func (rt *Runtime) finish(a *Action, err error) {
 	a.args = nil
 	s.mu.Unlock()
 	releaseOps(ops)
+	// The inline operand copy still holds buffer pointers; clear it
+	// for the same reason (nothing reads it once ops is nil).
+	a.opbuf = [len(a.opbuf)]Operand{}
 
 	rt.outstanding.Add(-1)
 	s.ndepth.Add(-1)
@@ -462,67 +485,52 @@ func (rt *Runtime) finish(a *Action, err error) {
 	s.met.retired.Inc()
 
 	sim := rt.cfg.Mode == ModeSim
-	var ready []*Action
+	// Ready successors collect in a stack array; more than its capacity
+	// at once is rare and spills to the heap.
+	var readyBuf [8]*Action
+	ready := readyBuf[:0]
 	for _, succ := range succs {
 		// Successors may start no earlier than this completion; the
 		// Sim executor reads the propagated ready time rather than
 		// the engine clock, so the clock can be pumped ahead safely.
 		// (ready is only touched in Sim mode, where everything runs
 		// on the single host goroutine.)
-		if sim && succ.ready < a.end {
-			succ.ready = a.end
+		if sim && succ.ready < a.span.Finish {
+			succ.ready = a.span.Finish
 		}
 		if succ.npend.Add(-1) == 0 {
 			succ.state.Store(stateLaunched)
 			if sim {
-				succ.tReady = succ.ready
+				succ.span.Ready = succ.ready
 			} else {
-				succ.tReady = rt.exec.now()
+				succ.span.Ready = rt.exec.now()
 			}
 			ready = append(ready, succ)
 		}
 	}
+	// No addDep reaches a completed action, so once the loop is done
+	// nothing reads the inline successors; clear them so a pinned
+	// action does not keep its successors reachable.
+	a.succbuf = [len(a.succbuf)]*Action{}
 
 	rt.setErr(err)
 	rt.observeFinish(a, err)
-	kind := trace.Compute
-	switch a.kind {
-	case ActXferToSink, ActXferToSrc:
-		kind = trace.Transfer
-	case ActSync:
-		kind = trace.Sync
-	}
+	sp := &a.span
 	rt.rec.Add(trace.Record{
-		ID:     a.id,
-		Kind:   kind,
-		Stream: s.name,
-		Domain: s.domain.spec.Name,
-		Label:  a.label,
-		Start:  a.start,
-		End:    a.end,
-		Bytes:  a.bytes,
-		Flops:  a.cost.Flops,
+		ID:     sp.ID,
+		Kind:   sp.Kind,
+		Stream: sp.Stream,
+		Domain: sp.Domain,
+		Label:  sp.Label,
+		Start:  sp.Launch,
+		End:    sp.Finish,
+		Bytes:  sp.Bytes,
+		Flops:  sp.Flops,
 	})
 	if rt.flight != nil {
-		sp := &a.span
-		sp.ID = a.id
-		sp.Run = rt.runID
-		sp.Kind = kind
-		sp.Stream = s.name
-		sp.Domain = s.domain.spec.Name
-		sp.Label = a.label
-		sp.Bytes = a.bytes
-		sp.Flops = a.cost.Flops
-		sp.CostKernel = int(a.cost.Kernel)
-		sp.CostN = a.cost.N
-		sp.CostBytes = a.cost.Bytes
-		sp.CostExtra = a.cost.Extra
+		// Identity, cost and timestamps are in place; only the outcome
+		// and a card transfer's link direction are new.
 		sp.Err = err != nil
-		sp.Enqueue = a.tEnqueue
-		sp.Ready = a.tReady
-		sp.Launch = a.start
-		sp.Finish = a.end
-		sp.Deps = a.deps
 		if r := a.res; r != nil {
 			sp.Retries = r.retries
 			sp.RetryWait = r.retryWait
@@ -551,12 +559,56 @@ func (rt *Runtime) finish(a *Action, err error) {
 	}
 	a.fin.Store(true)
 	if p := a.doneCh.Load(); p != nil {
-		ch := *p
-		a.doneOnce.Do(func() { close(ch) })
+		a.closeDone(*p)
 	}
 	rt.notifyFinish(a)
 	for _, r := range ready {
 		rt.notifyReadyLaunch(r)
 		rt.exec.launch(r)
 	}
+}
+
+// setCost stores the platform cost descriptor in the span's cost
+// fields, its only copy.
+func (a *Action) setCost(c platform.Cost) {
+	sp := &a.span
+	sp.Flops = c.Flops
+	sp.CostKernel = int(c.Kernel)
+	sp.CostN = c.N
+	sp.CostBytes = c.Bytes
+	sp.CostExtra = c.Extra
+}
+
+// spanCost rebuilds the platform cost descriptor a span records.
+func spanCost(sp *trace.Span) platform.Cost {
+	return platform.Cost{
+		Kernel: platform.Kernel(sp.CostKernel),
+		Flops:  sp.Flops,
+		N:      sp.CostN,
+		Bytes:  sp.CostBytes,
+		Extra:  sp.CostExtra,
+	}
+}
+
+// traceKind maps an action kind to its timeline kind.
+func traceKind(k ActKind) trace.Kind {
+	switch k {
+	case ActXferToSink, ActXferToSrc:
+		return trace.Transfer
+	case ActSync:
+		return trace.Sync
+	}
+	return trace.Compute
+}
+
+// errBufferFreed and errQueueFull format enqueue's rejections out of
+// line, keeping their formatting temporaries out of enqueue's frame
+// (see setCompute for why that frame's size matters).
+//
+//go:noinline
+func errBufferFreed(b *Buf) error { return fmt.Errorf("%w: %q", ErrBufferFreed, b.name) }
+
+//go:noinline
+func errQueueFull(s *Stream, depth int) error {
+	return fmt.Errorf("%w: %s at depth %d", ErrQueueFull, s.name, depth)
 }

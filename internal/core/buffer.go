@@ -36,6 +36,10 @@ type Buf struct {
 	proxy uint64
 	host  []byte        // source instance (nil in Sim mode)
 	inst  []*coi.Buffer // per domain index; nil for host / Sim
+	// xferLabel holds the trace labels of transfers of this buffer,
+	// indexed by XferDir ("xfer→sink <name>", "xfer→src <name>"),
+	// built once here so enqueueing a transfer formats nothing.
+	xferLabel [2]string
 
 	// refs counts operands of enqueued-but-incomplete actions.
 	// enqueue retains per operand before checking state; finish (and
@@ -61,6 +65,8 @@ func (rt *Runtime) Alloc1D(name string, size int64) (*Buf, error) {
 		return nil, ErrFinalized
 	}
 	b := &Buf{rt: rt, name: name, size: size, proxy: rt.proxy.Alloc(uint64(size))}
+	b.xferLabel[ToSink] = ActXferToSink.String() + " " + name
+	b.xferLabel[ToSource] = ActXferToSrc.String() + " " + name
 	switch rt.cfg.Mode {
 	case ModeReal:
 		b.host = make([]byte, size)

@@ -224,13 +224,7 @@ func CheckpointRun(flight *trace.FlightRecorder, run uint64) (*Checkpoint, error
 			Stream: si,
 			Label:  sp.Label,
 			Bytes:  sp.Bytes,
-			Cost: platform.Cost{
-				Kernel: platform.Kernel(sp.CostKernel),
-				Flops:  sp.Flops,
-				N:      sp.CostN,
-				Bytes:  sp.CostBytes,
-				Extra:  sp.CostExtra,
-			},
+			Cost:   spanCost(sp),
 		}
 		switch sp.Kind {
 		case trace.Compute:

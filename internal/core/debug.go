@@ -156,7 +156,7 @@ func (rt *Runtime) Status() RuntimeStatus {
 		// by id so the report reads in enqueue order.
 		snap := append([]*Action(nil), s.inflight...)
 		s.mu.Unlock()
-		sort.Slice(snap, func(i, j int) bool { return snap[i].id < snap[j].id })
+		sort.Slice(snap, func(i, j int) bool { return snap[i].span.ID < snap[j].span.ID })
 		for _, a := range snap {
 			if len(ss.Inflight) == maxInflightStatus {
 				break
@@ -166,13 +166,13 @@ func (rt *Runtime) Status() RuntimeStatus {
 				state = "launched"
 			}
 			ss.Inflight = append(ss.Inflight, ActionStatus{
-				ID:      a.id,
+				ID:      a.span.ID,
 				Kind:    a.kind.String(),
-				Label:   a.label,
+				Label:   a.span.Label,
 				State:   state,
 				Pending: int(a.npend.Load()),
-				Enqueue: a.tEnqueue,
-				Age:     now - a.tEnqueue,
+				Enqueue: a.span.Enqueue,
+				Age:     now - a.span.Enqueue,
 			})
 		}
 		st.Streams = append(st.Streams, ss)

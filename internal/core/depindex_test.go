@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"hstreams/internal/metrics"
 	"hstreams/internal/platform"
@@ -49,8 +50,9 @@ type diffAct struct {
 	kind   ActKind
 	dir    XferDir
 	ops    []diffOp
-	extra  []int // prog indices of explicit event deps
-	gate   bool  // first act per stream; whole-range InOut on all bufs
+	extra  []int         // prog indices of explicit event deps
+	gate   bool          // first act per stream; whole-range InOut on all bufs
+	dur    time.Duration // fixed modeled duration (platform.Cost.Extra)
 }
 
 // diffProg is a randomized multi-stream program.
@@ -139,9 +141,12 @@ func genDiffProg(r *rand.Rand, nStreams, perStream int, sameStreamExtras bool) *
 // refEdges computes the expected reduced dependence-edge set of every
 // program step, independently of the scheduler: per stream and buffer
 // it tracks, byte by byte, the last writer and the readers since, and
-// a barrier id for the newest sync. It assumes nothing completes while
-// the program is enqueued.
-func refEdges(p *diffProg) []map[int]trace.DepKind {
+// a barrier id for the newest sync. live(i, j) reports whether step j
+// was still incomplete when step i was enqueued (completed
+// predecessors impose no order, so their edges are dropped; the model
+// state itself does not change); nil means nothing completes while the
+// program is enqueued.
+func refEdges(p *diffProg, live func(i, j int) bool) []map[int]trace.DepKind {
 	type cells struct {
 		lastW   []int
 		readers []map[int]bool
@@ -168,7 +173,7 @@ func refEdges(p *diffProg) []map[int]trace.DepKind {
 	for i, a := range p.acts {
 		e := make(map[int]trace.DepKind)
 		add := func(j int, why trace.DepKind) {
-			if j != i && j >= 0 {
+			if j != i && j >= 0 && (live == nil || live(i, j)) {
 				if _, ok := e[j]; !ok {
 					e[j] = why
 				}
@@ -279,7 +284,7 @@ func (h *diffHarness) enqueueOne(t *testing.T, p *diffProg, i int) {
 		for k, o := range a.ops {
 			ops[k] = Operand{Buf: h.bufs[o.buf], Off: o.off, Len: o.ln, Acc: o.acc}
 		}
-		act, err = st.EnqueueComputeDeps(name, nil, ops, platform.Cost{}, extras)
+		act, err = st.EnqueueComputeDeps(name, nil, ops, platform.Cost{Extra: a.dur}, extras)
 	default: // transfer
 		o := a.ops[0]
 		act, err = st.EnqueueXferDeps(h.bufs[o.buf], o.off, o.ln, a.dir, extras)
@@ -301,7 +306,7 @@ func (h *diffHarness) capturedEdges(t *testing.T) []map[int]trace.DepKind {
 	out := make([]map[int]trace.DepKind, len(h.actions))
 	for i, a := range h.actions {
 		e := make(map[int]trace.DepKind)
-		for _, d := range a.deps {
+		for _, d := range a.span.Deps {
 			j, ok := byID[d.ID]
 			if !ok {
 				t.Fatalf("act %d: dep on unknown action id %d", i, d.ID)
@@ -394,7 +399,7 @@ func TestDepIndexDifferentialSim(t *testing.T) {
 			if err := h.rt.Err(); err != nil {
 				t.Fatal(err)
 			}
-			compareExact(t, p, refEdges(p), h.capturedEdges(t))
+			compareExact(t, p, refEdges(p, nil), h.capturedEdges(t))
 			checkFIFOSemantic(t, p, h.actions)
 		})
 	}
@@ -417,7 +422,7 @@ func TestDepIndexDifferentialRealGated(t *testing.T) {
 			if err := h.rt.Err(); err != nil {
 				t.Fatal(err)
 			}
-			compareExact(t, p, refEdges(p), h.capturedEdges(t))
+			compareExact(t, p, refEdges(p, nil), h.capturedEdges(t))
 			checkFIFOSemantic(t, p, h.actions)
 		})
 	}
@@ -489,6 +494,141 @@ func TestDepIndexDifferentialRealFree(t *testing.T) {
 				}
 			}
 			checkFIFOSemantic(t, p, h.actions)
+		})
+	}
+}
+
+// TestDepIndexDifferentialDeepList holds well over a thousand disjoint
+// live last-writer intervals on one buffer of one stream — the depth a
+// Fig. 6 card stream reaches — and completes a scattered subset of
+// their owners while the program is still being enqueued. Reads and
+// writes then span several intervals, split one interval on both
+// sides, and land on completed owners. The captured edges and kinds
+// must equal the per-byte model's, restricted to predecessors still
+// incomplete at each enqueue.
+func TestDepIndexDifferentialDeepList(t *testing.T) {
+	const (
+		tiles    = 1280
+		tile     = 32
+		gates    = 16
+		mixed    = 1600
+		gateStep = mixed / gates
+	)
+	r := rand.New(rand.NewSource(7))
+	p := &diffProg{nStreams: 2, nBufs: 1, bufSize: tiles * tile}
+	// Stream 1 holds the gates: operand-free computes of fixed modeled
+	// duration, run back to back on that stream's slot, so gate k
+	// completes at (k+1)·gateDur.
+	for k := 0; k < gates; k++ {
+		p.acts = append(p.acts, diffAct{stream: 1, kind: ActCompute, dur: time.Millisecond})
+	}
+	// Stream 0: one writer per tile, each held back by a random gate,
+	// so the writers complete in an order unrelated to their offsets.
+	for i := 0; i < tiles; i++ {
+		p.acts = append(p.acts, diffAct{stream: 0, kind: ActCompute,
+			ops:   []diffOp{{buf: 0, off: int64(i) * tile, ln: tile, acc: Out}},
+			extra: []int{r.Intn(gates)}})
+	}
+	// waits[i] names the gate waited on before step i is enqueued;
+	// waiting pumps the virtual clock and completes every earlier gate
+	// and the writers they released.
+	waits := map[int]int{}
+	for n := 0; n < mixed; n++ {
+		if n%gateStep == gateStep/2 {
+			waits[len(p.acts)] = n / gateStep
+		}
+		t0 := int64(r.Intn(tiles))
+		var op diffOp
+		switch roll := r.Intn(10); {
+		case roll < 3: // write strictly inside one tile: splits on both sides
+			op = diffOp{off: t0*tile + 8, ln: tile - 16, acc: []Access{Out, InOut}[r.Intn(2)]}
+		case roll < 5: // unaligned write across several intervals
+			op = diffOp{off: t0*tile + int64(r.Intn(tile)), ln: int64(1 + r.Intn(3*tile)), acc: Out}
+		default: // unaligned read across several intervals
+			op = diffOp{off: t0*tile + int64(r.Intn(tile)), ln: int64(1 + r.Intn(4*tile)), acc: In}
+		}
+		if end := op.off + op.ln; end > p.bufSize {
+			op.ln = p.bufSize - op.off
+		}
+		p.acts = append(p.acts, diffAct{stream: 0, kind: ActCompute, ops: []diffOp{op}})
+	}
+
+	h := newDiffHarness(t, p, ModeSim, func(*KernelCtx) {})
+	doneAt := make([]int, len(p.acts)) // step before which j was seen complete; -1 never
+	for i := range doneAt {
+		doneAt[i] = -1
+	}
+	scattered := false
+	for i := range p.acts {
+		if g, ok := waits[i]; ok {
+			if err := h.actions[g].Wait(); err != nil {
+				t.Fatal(err)
+			}
+			// A completed writer after an incomplete one at a lower
+			// offset shows the completions are not a prefix.
+			seenLive := false
+			for j := 0; j < i; j++ {
+				if doneAt[j] < 0 && h.actions[j].Completed() {
+					doneAt[j] = i
+				}
+				if j >= gates && j < gates+tiles {
+					if doneAt[j] < 0 {
+						seenLive = true
+					} else if seenLive {
+						scattered = true
+					}
+				}
+			}
+		}
+		h.enqueueOne(t, p, i)
+	}
+	h.rt.ThreadSynchronize()
+	if err := h.rt.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if !scattered {
+		t.Fatal("writer completions formed a prefix; the test no longer scatters them")
+	}
+	if iv := h.streams[0].index[h.bufs[0]]; iv == nil || len(iv.w) < 1024 {
+		t.Fatalf("writer list holds %d intervals, want >= 1024", len(iv.w))
+	}
+	live := func(i, j int) bool { return doneAt[j] < 0 || doneAt[j] > i }
+	compareExact(t, p, refEdges(p, live), h.capturedEdges(t))
+	checkFIFOSemantic(t, p, h.actions)
+}
+
+// BenchmarkDepScan measures the dependence index as a layer: one RAW
+// read of a tile and one write replacing it, against a buffer whose
+// writer list holds n disjoint live intervals. With the sorted list
+// the cost grows with log n, not n, and allocates nothing.
+func BenchmarkDepScan(b *testing.B) {
+	for _, n := range []int{16, 256, 4096} {
+		b.Run(fmt.Sprintf("live=%d", n), func(b *testing.B) {
+			const tile = 64
+			buf := &Buf{name: "bench", size: int64(n) * tile}
+			s := &Stream{index: make(map[*Buf]*bufIvals)}
+			writers := make([]*Action, n)
+			for i := range writers {
+				writers[i] = &Action{}
+				writers[i].span.ID = uint64(i + 1)
+				s.depScan(writers[i], Operand{Buf: buf, Off: int64(i) * tile, Len: tile, Acc: Out}, func(*Action) {})
+			}
+			reader := &Action{}
+			reader.span.ID = uint64(n + 1)
+			deps := 0
+			dep := func(*Action) { deps++ }
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := (i * 7919) % n // stride over the list, not a hot spot
+				o := Operand{Buf: buf, Off: int64(k) * tile, Len: tile, Acc: In}
+				s.depScan(reader, o, dep)
+				o.Acc = Out
+				s.depScan(writers[k], o, dep)
+			}
+			if deps == 0 {
+				b.Fatal("no dependences found")
+			}
 		})
 	}
 }

@@ -115,7 +115,7 @@ func (rt *Runtime) emitResEvents(a *Action, r *resNote, err error) {
 	ev := RuntimeEvent{
 		Domain: a.stream.domain.spec.Name,
 		Stream: a.stream.name,
-		Action: a.id,
+		Action: a.span.ID,
 	}
 	if err != nil {
 		ev.Err = err.Error()

@@ -139,8 +139,8 @@ func (re *realExec) launch(a *Action) { re.pools[a.stream.domain.index].submit(a
 func (re *realExec) run(a *Action) {
 	s := a.stream
 	if a.kind == ActSync {
-		a.start = re.now()
-		a.end = a.start
+		a.span.Launch = re.now()
+		a.span.Finish = a.span.Launch
 		re.rt.finish(a, nil)
 		return
 	}
@@ -150,14 +150,14 @@ func (re *realExec) run(a *Action) {
 		var err error
 		if a.kind == ActCompute {
 			s.computeMu.Lock()
-			a.start = re.now()
+			a.span.Launch = re.now()
 			err = re.computeHost(a)
-			a.end = re.now()
+			a.span.Finish = re.now()
 			s.computeMu.Unlock()
 		} else {
 			// Host-as-target streams alias instances; optimized away.
-			a.start = re.now()
-			a.end = a.start
+			a.span.Launch = re.now()
+			a.span.Finish = a.span.Launch
 		}
 		re.rt.finish(a, err)
 		return
@@ -230,7 +230,7 @@ func (re *realExec) runCard(a *Action, dr *domainRes) error {
 			}
 			return err
 		}
-		wait := rp.wait(a.id, attempt)
+		wait := rp.wait(a.span.ID, attempt)
 		note := a.resNote()
 		note.retries++
 		note.retryWait += wait
@@ -243,19 +243,19 @@ func (re *realExec) runCard(a *Action, dr *domainRes) error {
 
 // attemptCard makes one attempt at a card action. Failed attempts
 // have no side effects — injection fires before any bytes move or any
-// descriptor is sent — so attempts may repeat freely. a.start is
-// stamped once (first attempt) and a.end after every attempt, so the
-// recorded duration spans retries and backoff.
+// descriptor is sent — so attempts may repeat freely. The launch time
+// is stamped once (first attempt) and the finish time after every
+// attempt, so the recorded duration spans retries and backoff.
 func (re *realExec) attemptCard(a *Action) error {
 	s := a.stream
 	if a.kind == ActCompute {
 		s.computeMu.Lock()
 		if !a.started {
-			a.start = re.now()
+			a.span.Launch = re.now()
 			a.started = true
 		}
 		err := re.computeCard(a)
-		a.end = re.now()
+		a.span.Finish = re.now()
 		s.computeMu.Unlock()
 		return err
 	}
@@ -269,7 +269,7 @@ func (re *realExec) attemptCard(a *Action) error {
 	mu.Lock()
 	defer mu.Unlock()
 	if !a.started {
-		a.start = re.now()
+		a.span.Launch = re.now()
 		a.started = true
 	}
 	var err error
@@ -278,7 +278,7 @@ func (re *realExec) attemptCard(a *Action) error {
 	} else {
 		_, err = cb.Read(int(o.Off), o.Buf.host[o.Off:o.Off+o.Len])
 	}
-	a.end = re.now()
+	a.span.Finish = re.now()
 	return err
 }
 
@@ -300,20 +300,20 @@ func (re *realExec) runRerouted(a *Action, dr *domainRes) error {
 	if a.kind == ActCompute {
 		s.computeMu.Lock()
 		if !a.started {
-			a.start = re.now()
+			a.span.Launch = re.now()
 			a.started = true
 		}
 		err := re.computeHost(a)
-		a.end = re.now()
+		a.span.Finish = re.now()
 		s.computeMu.Unlock()
 		return err
 	}
 	// The host instance is now the action's source AND sink.
 	if !a.started {
-		a.start = re.now()
+		a.span.Launch = re.now()
 		a.started = true
 	}
-	a.end = re.now()
+	a.span.Finish = re.now()
 	return nil
 }
 

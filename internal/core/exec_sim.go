@@ -71,7 +71,7 @@ func (se *simExec) launch(a *Action) {
 	var start, end time.Duration
 	switch a.kind {
 	case ActCompute:
-		dur := platform.ComputeTime(s.domain.spec, s.nCores, a.cost)
+		dur := platform.ComputeTime(s.domain.spec, s.nCores, spanCost(&a.span))
 		start, end = s.slot.Reserve(ready, dur)
 	case ActXferToSink, ActXferToSrc:
 		if s.domain.IsHost() {
@@ -82,17 +82,28 @@ func (se *simExec) launch(a *Action) {
 			if a.kind == ActXferToSrc {
 				dir = 1
 			}
-			dur := se.rt.machine.LinkFor(s.domain.index - 1).TransferTime(a.bytes)
+			dur := se.rt.machine.LinkFor(s.domain.index - 1).TransferTime(a.span.Bytes)
 			start, end = se.links[s.domain.index][dir].Reserve(ready, dur)
-			se.linkMet[s.domain.index][dir].bytes.Add(a.bytes)
+			se.linkMet[s.domain.index][dir].bytes.Add(a.span.Bytes)
 			se.linkMet[s.domain.index][dir].xfers.Inc()
 			se.linkMet[s.domain.index][dir].occ.Observe(dur)
 		}
 	case ActSync:
 		start, end = ready, ready
 	}
-	a.start, a.end = start, end
-	se.eng.Post(end, func() { se.rt.finish(a, nil) })
+	a.span.Launch, a.span.Finish = start, end
+	se.eng.Post(end, (*simCompletion)(a))
+}
+
+// simCompletion is an action viewed as its own completion event: the
+// engine stores the pointer in its queue, so posting a completion
+// allocates nothing.
+type simCompletion Action
+
+// Fire finishes the action when the engine reaches its end time.
+func (c *simCompletion) Fire() {
+	a := (*Action)(c)
+	a.stream.rt.finish(a, nil)
 }
 
 // Inflight thresholds: when a stream's incomplete-action window grows
@@ -125,14 +136,14 @@ func (se *simExec) waitAction(a *Action) {
 		// The host blocked until the action completed; its thread
 		// resumes no earlier than that.
 		se.mu.Lock()
-		if se.hostTime < a.end {
-			se.hostTime = a.end
+		if se.hostTime < a.span.Finish {
+			se.hostTime = a.span.Finish
 		}
 		se.mu.Unlock()
 		return
 	}
 	if !a.Completed() {
-		panic(fmt.Sprintf("core: deadlock waiting for action %d (%s) in %s", a.id, a.kind, a.stream.name))
+		panic(fmt.Sprintf("core: deadlock waiting for action %d (%s) in %s", a.span.ID, a.kind, a.stream.name))
 	}
 }
 

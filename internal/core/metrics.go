@@ -157,12 +157,12 @@ func (rt *Runtime) observers() []metrics.Observer {
 // event builds the observer payload for an action transition.
 func (a *Action) event(when time.Duration) metrics.Event {
 	return metrics.Event{
-		Action: a.id,
+		Action: a.span.ID,
 		Kind:   a.kind.String(),
 		Stream: a.stream.name,
 		Domain: a.stream.domain.spec.Name,
-		Bytes:  a.bytes,
-		Flops:  a.cost.Flops,
+		Bytes:  a.span.Bytes,
+		Flops:  a.span.Flops,
 		When:   when,
 		Err:    a.err,
 	}
@@ -170,13 +170,13 @@ func (a *Action) event(when time.Duration) metrics.Event {
 
 func (rt *Runtime) notifyEnqueue(a *Action) {
 	for _, o := range rt.observers() {
-		o.OnEnqueue(a.event(a.tEnqueue))
+		o.OnEnqueue(a.event(a.span.Enqueue))
 	}
 }
 
 func (rt *Runtime) notifyReadyLaunch(a *Action) {
 	for _, o := range rt.observers() {
-		ev := a.event(a.tReady)
+		ev := a.event(a.span.Ready)
 		o.OnReady(ev)
 		o.OnLaunch(ev)
 	}
@@ -184,7 +184,7 @@ func (rt *Runtime) notifyReadyLaunch(a *Action) {
 
 func (rt *Runtime) notifyFinish(a *Action) {
 	for _, o := range rt.observers() {
-		o.OnFinish(a.event(a.end))
+		o.OnFinish(a.event(a.span.Finish))
 	}
 }
 
@@ -203,14 +203,14 @@ func (rt *Runtime) observeFinish(a *Action, err error) {
 		// time so no extra clock read happens on the hot path. With
 		// causal tracing off there are no spans to link, so the plain
 		// observes keep that arm a clean overhead baseline.
-		when := int64(a.end)
-		sm.dur[k].ObserveEx(a.end-a.start, a.id, when)
-		sm.stall[k].ObserveEx(a.tReady-a.tEnqueue, a.id, when)
-		sm.sched[k].ObserveEx(a.start-a.tReady, a.id, when)
+		when := int64(a.span.Finish)
+		sm.dur[k].ObserveEx(a.span.Finish-a.span.Launch, a.span.ID, when)
+		sm.stall[k].ObserveEx(a.span.Ready-a.span.Enqueue, a.span.ID, when)
+		sm.sched[k].ObserveEx(a.span.Launch-a.span.Ready, a.span.ID, when)
 	} else {
-		sm.dur[k].Observe(a.end - a.start)
-		sm.stall[k].Observe(a.tReady - a.tEnqueue)
-		sm.sched[k].Observe(a.start - a.tReady)
+		sm.dur[k].Observe(a.span.Finish - a.span.Launch)
+		sm.stall[k].Observe(a.span.Ready - a.span.Enqueue)
+		sm.sched[k].Observe(a.span.Launch - a.span.Ready)
 	}
 	if err != nil {
 		rt.mets.errors.Inc()

@@ -92,9 +92,9 @@ func (rt *Runtime) Progress() []StreamProgress {
 			} else {
 				sp.Pending++
 			}
-			if sp.OldestAction == 0 || a.id < sp.OldestAction {
-				sp.OldestAction = a.id
-				sp.OldestAge = now - a.tEnqueue
+			if sp.OldestAction == 0 || a.span.ID < sp.OldestAction {
+				sp.OldestAction = a.span.ID
+				sp.OldestAge = now - a.span.Enqueue
 			}
 		}
 		s.mu.Unlock()

@@ -195,23 +195,40 @@ func (s *Stream) EnqueueCompute(kernel string, args []int64, ops []Operand, cost
 // runtimes (OmpSs) rely on (§IV: "dependencies are based on a
 // data-flow approach").
 func (s *Stream) EnqueueComputeDeps(kernel string, args []int64, ops []Operand, cost platform.Cost, deps []*Action) (*Action, error) {
-	a := &Action{
-		kind:   ActCompute,
-		stream: s,
-		label:  kernel,
-		kernel: kernel,
-		args:   args,
-		ops:    ops,
-		cost:   cost,
+	a := &Action{kind: ActCompute, stream: s}
+	a.setCost(cost)
+	if err := a.setCompute(kernel, args, ops); err != nil {
+		return nil, err
 	}
-	if s.rt.cfg.Mode == ModeReal {
-		fn, id, ok := s.rt.kernelByName(kernel)
+	return s.rt.enqueue(a, deps, nil)
+}
+
+// setCompute resolves a compute's kernel (Real mode) and copies its
+// args and ops into the action rather than keeping the caller's
+// slices: the inline buffers absorb the common case, and the caller's
+// literals do not escape. It is kept out of line so its temporaries
+// are not part of EnqueueComputeDeps' frame, which stays on the stack
+// through enqueue and the dependence scan: hsserve runs each
+// submission on a fresh goroutine, whose small initial stack that path
+// must fit without growing.
+//
+//go:noinline
+func (a *Action) setCompute(kernel string, args []int64, ops []Operand) error {
+	a.span.Label = kernel
+	if rt := a.stream.rt; rt.cfg.Mode == ModeReal {
+		fn, id, ok := rt.kernelByName(kernel)
 		if !ok {
-			return nil, fmt.Errorf("%w: %q", ErrNoKernel, kernel)
+			return fmt.Errorf("%w: %q", ErrNoKernel, kernel)
 		}
 		a.kernelFn, a.kernelID = fn, id
 	}
-	return s.rt.enqueue(a, deps)
+	if len(args) > 0 {
+		a.args = append(a.argbuf[:0], args...)
+	}
+	if len(ops) > 0 {
+		a.ops = append(a.opbuf[:0], ops...)
+	}
+	return nil
 }
 
 // XferDir selects a transfer direction relative to the stream's sink.
@@ -235,20 +252,18 @@ func (s *Stream) EnqueueXfer(b *Buf, off, n int64, dir XferDir) (*Action, error)
 // EnqueueXferDeps is EnqueueXfer with additional explicit dependences
 // (see EnqueueComputeDeps).
 func (s *Stream) EnqueueXferDeps(b *Buf, off, n int64, dir XferDir, deps []*Action) (*Action, error) {
-	acc := Out
-	kind := ActXferToSink
+	acc, kind, lab := Out, ActXferToSink, ToSink
 	if dir == ToSource {
-		acc = In
-		kind = ActXferToSrc
+		acc, kind, lab = In, ActXferToSrc, ToSource
 	}
-	a := &Action{
-		kind:   kind,
-		stream: s,
-		label:  fmt.Sprintf("%s %s", kind, b.name),
-		ops:    []Operand{{Buf: b, Off: off, Len: n, Acc: acc}},
-		bytes:  n,
+	a := &Action{kind: kind, stream: s}
+	a.span.Bytes = n
+	if b != nil { // a nil buffer fails enqueue's operand check
+		a.span.Label = b.xferLabel[lab]
 	}
-	return s.rt.enqueue(a, deps)
+	a.opbuf[0] = Operand{Buf: b, Off: off, Len: n, Acc: acc}
+	a.ops = a.opbuf[:1]
+	return s.rt.enqueue(a, deps, nil)
 }
 
 // EnqueueXferAll transfers the whole buffer.
@@ -260,16 +275,18 @@ func (s *Stream) EnqueueXferAll(b *Buf, dir XferDir) (*Action, error) {
 // every earlier and later action in the stream and completes when all
 // its predecessors have (hStreams_EnqueueMarker).
 func (s *Stream) EnqueueMarker() (*Action, error) {
-	a := &Action{kind: ActSync, stream: s, label: "marker"}
-	return s.rt.enqueue(a, nil)
+	a := &Action{kind: ActSync, stream: s}
+	a.span.Label = "marker"
+	return s.rt.enqueue(a, nil, nil)
 }
 
 // EnqueueEventWait enqueues a marker that additionally waits for the
 // given events from other streams — the cross-stream synchronization
 // primitive (hStreams_EnqueueEventWait).
 func (s *Stream) EnqueueEventWait(evs ...*Action) (*Action, error) {
-	a := &Action{kind: ActSync, stream: s, label: "event-wait"}
-	return s.rt.enqueue(a, evs)
+	a := &Action{kind: ActSync, stream: s}
+	a.span.Label = "event-wait"
+	return s.rt.enqueue(a, evs, nil)
 }
 
 // Destroy drains the stream and rejects further enqueues
@@ -288,16 +305,11 @@ func (s *Stream) Destroy() error {
 // and edge kinds). The replay flag makes enqueue take the edges as
 // prescribed instead of rediscovering them; see checkpoint.go.
 func (s *Stream) enqueueReplay(kind ActKind, label string, bytes int64, cost platform.Cost, deps []*Action, whys []trace.DepKind) (*Action, error) {
-	a := &Action{
-		kind:      kind,
-		stream:    s,
-		label:     label,
-		bytes:     bytes,
-		cost:      cost,
-		replay:    true,
-		replayWhy: whys,
-	}
-	return s.rt.enqueue(a, deps)
+	a := &Action{kind: kind, stream: s, replay: true}
+	a.span.Label = label
+	a.span.Bytes = bytes
+	a.setCost(cost)
+	return s.rt.enqueue(a, deps, whys)
 }
 
 // Synchronize blocks the host until every action previously enqueued

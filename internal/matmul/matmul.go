@@ -118,7 +118,9 @@ func Run(a *app.App, cfg Config) (Result, error) {
 			for k := 0; k < nt; k++ {
 				aOff := kernels.TileOff(i, k, nt, tb)
 				bOff := kernels.TileOff(k, j, nt, tb)
-				var deps []*core.Action
+				// At most the A and B transfers: a stack array holds them.
+				var depbuf [2]*core.Action
+				deps := depbuf[:0]
 				if dep, err := res.ensure(d, s, bufA, aOff, tileBytes); err != nil {
 					return Result{}, err
 				} else if dep != nil {

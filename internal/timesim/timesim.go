@@ -14,10 +14,24 @@
 package timesim
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
+
+// Handler is what an event does when it fires. The Sim executor posts
+// each action as its own completion handler, so scheduling an event
+// allocates nothing beyond the queue slot; plain functions go through
+// Func.
+type Handler interface {
+	Fire()
+}
+
+// Func adapts a plain function to Handler. A func value is a single
+// pointer, so the conversion does not allocate.
+type Func func()
+
+// Fire calls f.
+func (f Func) Fire() { f() }
 
 // Engine is a virtual clock with an event queue. It is not safe for
 // concurrent use; simulated runs are single-goroutine by design so that
@@ -48,8 +62,7 @@ func (e *Engine) At(t time.Duration, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("timesim: scheduling event at %v before now %v", t, e.now))
 	}
-	e.seq++
-	heap.Push(&e.events, event{at: t, seq: e.seq, fn: fn})
+	e.Post(t, Func(fn))
 }
 
 // After schedules fn to run d from now. Negative d panics.
@@ -57,28 +70,36 @@ func (e *Engine) After(d time.Duration, fn func()) {
 	e.At(e.now+d, fn)
 }
 
-// Post schedules fn for time t like At, but clamps past timestamps to
-// now instead of panicking. Callers that keep exact event times in
-// their own bookkeeping (and only need the engine for firing order)
-// use this so the clock can be pumped ahead of lazily-scheduled work.
-func (e *Engine) Post(t time.Duration, fn func()) {
+// Post schedules h to fire at time t, clamping past timestamps to now
+// instead of panicking. Callers that keep exact event times in their
+// own bookkeeping (and only need the engine for firing order) use this
+// so the clock can be pumped ahead of lazily-scheduled work. Post is
+// the engine's only scheduling path; At and After check causality and
+// then post through it.
+func (e *Engine) Post(t time.Duration, h Handler) {
 	if t < e.now {
 		t = e.now
 	}
 	e.seq++
-	heap.Push(&e.events, event{at: t, seq: e.seq, fn: fn})
+	e.events = append(e.events, event{at: t, seq: e.seq, h: h})
+	e.events.up(len(e.events) - 1)
 }
 
 // Step fires the earliest pending event, advancing the clock to its
 // timestamp. It reports whether an event was fired.
 func (e *Engine) Step() bool {
-	if len(e.events) == 0 {
+	n := len(e.events)
+	if n == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.events).(event)
+	ev := e.events[0]
+	e.events[0] = e.events[n-1]
+	e.events[n-1] = event{} // the backing array must not pin the handler
+	e.events = e.events[:n-1]
+	e.events.down(0)
 	e.now = ev.at
 	e.fired++
-	ev.fn()
+	ev.h.Fire()
 	return true
 }
 
@@ -106,24 +127,46 @@ func (e *Engine) Drain() time.Duration {
 type event struct {
 	at  time.Duration
 	seq uint64
-	fn  func()
+	h   Handler
 }
 
+// eventHeap is a binary min-heap ordered by (at, seq). seq is unique
+// and increasing, so events posted for the same instant fire in the
+// order they were posted.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	*h = old[:n-1]
-	return ev
+
+func (h eventHeap) up(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h.less(i, p) {
+			return
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+}
+
+func (h eventHeap) down(i int) {
+	n := len(h)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			return
+		}
+		if r := c + 1; r < n && h.less(r, c) {
+			c = r
+		}
+		if !h.less(c, i) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }

@@ -266,15 +266,134 @@ func TestPostClampsPastEvents(t *testing.T) {
 	e.At(10*time.Millisecond, func() {})
 	e.Step()
 	var firedAt time.Duration
-	e.Post(2*time.Millisecond, func() { firedAt = e.Now() }) // in the past
+	e.Post(2*time.Millisecond, Func(func() { firedAt = e.Now() })) // in the past
 	e.Step()
 	if firedAt != 10*time.Millisecond {
 		t.Fatalf("past Post fired at %v, want clamped to 10ms", firedAt)
 	}
 	// Future Post behaves like At.
-	e.Post(20*time.Millisecond, func() { firedAt = e.Now() })
+	e.Post(20*time.Millisecond, Func(func() { firedAt = e.Now() }))
 	e.Drain()
 	if firedAt != 20*time.Millisecond {
 		t.Fatalf("future Post fired at %v, want 20ms", firedAt)
+	}
+}
+
+// recorder is a Handler that logs its tag and the firing time, the
+// way the Sim executor posts an action as its own completion event.
+type recorder struct {
+	e    *Engine
+	tag  int
+	log  *[]fired
+	then func()
+}
+
+type fired struct {
+	tag int
+	at  time.Duration
+}
+
+func (r *recorder) Fire() {
+	*r.log = append(*r.log, fired{r.tag, r.e.Now()})
+	if r.then != nil {
+		r.then()
+	}
+}
+
+// Property: whatever mix of handlers, plain functions, ties and
+// clamped past posts is scheduled — including events posted while
+// others fire — the engine fires them in exactly the order of a
+// stable sort on (effective time, post order). Same-instant events
+// stay FIFO; the Sim executor's schedules (and the modeled rates the
+// paper figures pin) depend on that order.
+func TestEngineOrderMatchesStableSort(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		e := NewEngine()
+		type posted struct {
+			tag int
+			at  time.Duration // effective (clamped) time
+		}
+		var ref []posted
+		var log []fired
+		next := 0
+		var post func()
+		post = func() {
+			tag := next
+			next++
+			// Few distinct instants so ties are common; some posts land
+			// in the past of the current clock and must clamp to now.
+			at := time.Duration(rng.Intn(8)) * time.Millisecond
+			eff := at
+			if eff < e.Now() {
+				eff = e.Now()
+			}
+			ref = append(ref, posted{tag, eff})
+			r := &recorder{e: e, tag: tag, log: &log}
+			if next < 400 && rng.Intn(3) == 0 {
+				r.then = post // a firing event posts another
+			}
+			if rng.Intn(2) == 0 {
+				e.Post(at, r)
+			} else if at >= e.Now() {
+				e.At(at, r.Fire)
+			} else {
+				e.Post(at, Func(r.Fire))
+			}
+		}
+		for i := 0; i < 100; i++ {
+			post()
+		}
+		e.Drain()
+		// Reference: events fire in (effective time, post order), but
+		// an event posted by a firing event can only fire after its
+		// poster; that holds here because clamping puts it at or after
+		// the current instant and its post order is later than every
+		// event already fired.
+		sort.SliceStable(ref, func(i, j int) bool { return ref[i].at < ref[j].at })
+		if len(log) != len(ref) {
+			t.Fatalf("seed %d: fired %d events, posted %d", seed, len(log), len(ref))
+		}
+		for i := range ref {
+			if log[i].tag != ref[i].tag || log[i].at != ref[i].at {
+				t.Fatalf("seed %d: event %d fired as %+v, reference %+v", seed, i, log[i], ref[i])
+			}
+		}
+		if e.Pending() != 0 || e.Fired() != uint64(len(ref)) {
+			t.Fatalf("seed %d: pending %d fired %d after drain", seed, e.Pending(), e.Fired())
+		}
+	}
+}
+
+func TestEngineStepReleasesHandler(t *testing.T) {
+	e := NewEngine()
+	e.Post(time.Millisecond, Func(func() {}))
+	e.Post(2*time.Millisecond, Func(func() {}))
+	e.Step()
+	// The vacated tail slot must not keep the fired handler reachable.
+	if tail := e.events[:cap(e.events)][len(e.events)]; tail.h != nil {
+		t.Fatalf("fired event still referenced from the queue's backing array: %+v", tail)
+	}
+}
+
+type nopHandler struct{ n int }
+
+func (h *nopHandler) Fire() { h.n++ }
+
+// Posting a pointer handler and firing it allocates nothing once the
+// queue's backing array has grown: the per-action cost the Sim
+// executor pays for its completion events.
+func TestPostStepAllocationFree(t *testing.T) {
+	e := NewEngine()
+	h := &nopHandler{}
+	for i := 0; i < 64; i++ {
+		e.Post(time.Duration(i), h)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		e.Post(e.Now()+time.Microsecond, h)
+		e.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("Post+Step allocated %v times per event, want 0", allocs)
 	}
 }

@@ -13,13 +13,17 @@
 // TestSchedThroughputArtifact writes BENCH_sched_throughput.json the
 // way TestTraceOverheadBudget writes BENCH_trace_overhead.json; the
 // scripts/bench_sched.sh guard compares a fresh run against the
-// committed artifact and fails on >10% regression.
+// committed artifact and fails on >10% regression, or on any increase
+// of the Sim arm's heap allocations per action (deterministic, so
+// exact).
 package hstreams_test
 
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -154,6 +158,28 @@ func schedRun(tb testing.TB, mode core.Mode, nStreams, perStream int) (int, time
 	return total, elapsed
 }
 
+// schedSimAllocs runs the Sim arm once and returns its heap
+// allocations per action over the enqueue→drain phase (setup
+// excluded). The Sim scheduler runs on this goroutine alone, so the
+// count does not depend on timing.
+func schedSimAllocs(tb testing.TB, nStreams, perStream int) float64 {
+	tb.Helper()
+	rt, streams := schedSetup(tb, core.ModeSim, nStreams)
+	defer rt.Fini()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	total := 0
+	for _, st := range streams {
+		total += schedDrive(tb, st, perStream)
+	}
+	rt.ThreadSynchronize()
+	runtime.ReadMemStats(&after)
+	if err := rt.Err(); err != nil {
+		tb.Fatal(err)
+	}
+	return float64(after.Mallocs-before.Mallocs) / float64(total)
+}
+
 // BenchmarkSchedThroughput reports scheduler actions/sec in both
 // modes. Run: go test -bench SchedThroughput -benchtime 3x
 func BenchmarkSchedThroughput(b *testing.B) {
@@ -192,6 +218,7 @@ type schedResult struct {
 	SimActionsPerSec  float64 `json:"sim_actions_per_sec"`
 	SimBaseline       float64 `json:"sim_baseline_actions_per_sec"`
 	SimSpeedup        float64 `json:"sim_speedup"`
+	SimAllocsPerAct   float64 `json:"sim_allocs_per_action"`
 	RealActionsPerSec float64 `json:"real_actions_per_sec"`
 	RealBaseline      float64 `json:"real_baseline_actions_per_sec"`
 	RealSpeedup       float64 `json:"real_speedup"`
@@ -232,10 +259,18 @@ func TestSchedThroughputArtifact(t *testing.T) {
 	}
 	sim := best(core.ModeSim, 8, 8192)
 	real := best(core.ModeReal, 8, 4096)
+	// The fewest allocations over the rounds, to four decimals: a
+	// stray allocation by another goroutine can only add.
+	simAllocs := math.Inf(1)
+	for i := 0; i < schedRounds; i++ {
+		simAllocs = math.Min(simAllocs, schedSimAllocs(t, 8, 8192))
+	}
+	simAllocs = math.Round(simAllocs*1e4) / 1e4
 	res := schedResult{
 		Benchmark:         fmt.Sprintf("sched throughput: 8 streams × 3-operand tile actions (Sim 8×8192 single source, RealHost 8×4096 concurrent sources), best of %d", schedRounds),
 		SimActionsPerSec:  sim,
 		SimBaseline:       schedSimBaseline,
+		SimAllocsPerAct:   simAllocs,
 		RealActionsPerSec: real,
 		RealBaseline:      schedRealBaseline,
 		RaceDetector:      raceEnabled,
@@ -261,6 +296,6 @@ func TestSchedThroughputArtifact(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	t.Logf("sim %.0f actions/s (%.2fx baseline), real %.0f actions/s (%.2fx baseline)",
-		sim, res.SimSpeedup, real, res.RealSpeedup)
+	t.Logf("sim %.0f actions/s (%.2fx baseline, %.4f allocs/action), real %.0f actions/s (%.2fx baseline)",
+		sim, res.SimSpeedup, simAllocs, real, res.RealSpeedup)
 }

@@ -4,7 +4,9 @@
 # Runs TestSchedThroughputArtifact into a temporary file and compares
 # the fresh actions/sec numbers against the committed
 # BENCH_sched_throughput.json; fails if either mode regressed more
-# than 10%. Run from the repository root (make bench-sched-guard).
+# than 10%, or if the Sim arm's heap allocations per action rose at
+# all (the count is deterministic in Sim, so any increase is a real
+# change). Run from the repository root (make bench-sched-guard).
 # Uses only sh and the go toolchain. Timing is meaningless under the
 # race detector, so the guard always runs without it.
 set -eu
@@ -45,5 +47,19 @@ for key in sim_actions_per_sec real_actions_per_sec; do
         fail=1
     fi
 done
+
+# Allocations per action: no tolerance.
+key=sim_allocs_per_action
+committed=$(field "$artifact" "$key")
+now=$(field "$fresh" "$key")
+if [ -z "$committed" ] || [ -z "$now" ]; then
+    echo "FAIL $key: missing from artifact or fresh run" >&2
+    fail=1
+elif [ "$(awk -v n="$now" -v c="$committed" 'BEGIN { print (n <= c) ? 1 : 0 }')" = 1 ]; then
+    echo "ok   $key: $now vs committed $committed"
+else
+    echo "FAIL $key: $now vs committed $committed (any increase fails)"
+    fail=1
+fi
 
 exit $fail
